@@ -324,12 +324,12 @@ func (v view) OutboundMin() vtime.VTime { return v.n.outboundMin() }
 func (v view) CommitGVT(g vtime.VTime) {
 	v.n.commitGVT(g)
 }
+
+//nicwarp:owns the packet rides the CPU job to transmitHostPacket
 func (v view) SendControl(pkt *proto.Packet) {
 	n := v.n
 	c := n.cpu.Costs
-	n.cpu.Do(hostmodel.CatGVT, c.GVTMsgBuild+c.SendOverhead, func() {
-		n.transmitHostPacket(pkt)
-	})
+	n.cpu.DoArg2(hostmodel.CatGVT, c.GVTMsgBuild+c.SendOverhead, nodeTransmitHost, n, pkt)
 }
 func (v view) Shared() *nic.SharedWindow { return v.n.nicDev.Shared() }
 func (v view) RingDoorbell() {
@@ -374,10 +374,11 @@ type Cluster struct {
 }
 
 // allocPacket takes a packet from the node's free list, or allocates one.
-// The caller must overwrite every field. Control packets and broadcast
-// clones are allocated fresh and simply feed the pool once they pass
-// through hostReceive's event path — never, in practice, since only event
-// kinds are released.
+// The caller must overwrite every field. Only event kinds pass through
+// this pool. GVT control packets belong to their manager from OnControl
+// on: the Mattern manager rewrites a token in place at every hop and keeps
+// the returning announcement for its next initiation. Credit returns and
+// fabric broadcast clones are allocated by their own layers.
 func (n *node) allocPacket() *proto.Packet {
 	if k := len(n.pktFree); k > 0 {
 		p := n.pktFree[k-1]
@@ -940,6 +941,21 @@ func (n *node) transmitHostPacket(pkt *proto.Packet) {
 	n.flow.Send(pkt)
 }
 
+// nodeTransmitHost is the CPU job that sends a host-built packet (a GVT
+// control message or a credit return) once its build cost is paid.
+func nodeTransmitHost(x, p interface{}) {
+	x.(*node).transmitHostPacket(p.(*proto.Packet))
+}
+
+// nodeControl is the CPU job that hands an inbound control packet to the
+// GVT manager, which takes ownership of it (a Mattern token is rewritten
+// and forwarded in place), then re-arms the main loop.
+func nodeControl(x, p interface{}) {
+	n := x.(*node)
+	n.mgr.OnControl(view{n}, p.(*proto.Packet))
+	n.pump()
+}
+
 // bipTransmit is the mpich endpoint's transmit callback: BIP stamps the
 // sequence number and the packet DMAs across the I/O bus into the NIC.
 func (n *node) bipTransmit(pkt *proto.Packet) {
@@ -1111,9 +1127,7 @@ func (n *node) drainCreditRefunds() {
 		delete(w.CreditSalvage, dst)
 		if reply := n.flow.BookOwed(dst, int(k)); reply != nil {
 			c := n.cpu.Costs
-			n.cpu.Do(hostmodel.CatComm, c.SendOverhead, func() {
-				n.transmitHostPacket(reply)
-			})
+			n.cpu.DoArg2(hostmodel.CatComm, c.SendOverhead, nodeTransmitHost, n, reply)
 		}
 	}
 }
@@ -1150,9 +1164,7 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 	}
 	if reply := n.flow.OnReceive(pkt); reply != nil {
 		c := n.cpu.Costs
-		n.cpu.Do(hostmodel.CatComm, c.SendOverhead, func() {
-			n.transmitHostPacket(reply)
-		})
+		n.cpu.DoArg2(hostmodel.CatComm, c.SendOverhead, nodeTransmitHost, n, reply)
 	}
 	switch pkt.Kind {
 	case proto.KindEvent, proto.KindAnti:
@@ -1173,28 +1185,22 @@ func (n *node) hostReceive(pkt *proto.Packet) {
 			Payload: pkt.Payload,
 		}
 		res := n.kernel.Deliver(&n.scratchEv)
-		// The packet is fully decoded and no layer retained it; only
-		// event kinds are released — control packets can be captured by
-		// deferred GVT work.
+		// The packet is fully decoded and no layer retained it. Only
+		// event kinds are released here; a control packet passes to the
+		// GVT manager, which owns it from OnControl on.
 		n.releasePacket(pkt)
 		n.finishStep(res, hostmodel.CatComm)
 	case proto.KindGVTControl:
 		c := n.cpu.Costs
 		// Token handling includes WARPED's per-object LVT recomputation.
 		cost := c.GVTHostCompute + vtime.ModelTime(n.numObjects)*c.GVTScanPerObject
-		n.cpu.Do(hostmodel.CatGVT, cost, func() {
-			n.mgr.OnControl(view{n}, pkt)
-			n.pump()
-		})
+		n.cpu.DoArg2(hostmodel.CatGVT, cost, nodeControl, n, pkt)
 	case proto.KindGVTBroadcast:
 		n.mgr.OnControl(view{n}, pkt)
 	case proto.KindAck:
 		// Delivery acknowledgement for the pGVT manager.
 		c := n.cpu.Costs
-		n.cpu.Do(hostmodel.CatGVT, c.GVTHostCompute, func() {
-			n.mgr.OnControl(view{n}, pkt)
-			n.pump()
-		})
+		n.cpu.DoArg2(hostmodel.CatGVT, c.GVTHostCompute, nodeControl, n, pkt)
 	case proto.KindCredit:
 		// Flow control handled above.
 	default:
@@ -1261,9 +1267,7 @@ func (n *node) hostReceiveBatch(frame *proto.Packet) {
 	if seqSubs > 0 {
 		if reply := n.flow.OnReceiveBatch(frame, seqSubs); reply != nil {
 			c := n.cpu.Costs
-			n.cpu.Do(hostmodel.CatComm, c.SendOverhead, func() {
-				n.transmitHostPacket(reply)
-			})
+			n.cpu.DoArg2(hostmodel.CatComm, c.SendOverhead, nodeTransmitHost, n, reply)
 		}
 	}
 	n.nicDev.ReleaseFrame(frame)

@@ -1,6 +1,8 @@
 package gvt
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +258,290 @@ func TestWaveLedgerBalanceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refWaveLedger is the original map-keyed WaveLedger, kept as the
+// reference model for the dense-window implementation: every operation
+// walks the per-wave maps, which is obviously correct and O(live waves)
+// per send.
+type refWaveLedger struct {
+	epoch     uint32
+	sentTotal int64
+
+	recvOld     int64
+	recvByStamp map[uint32]int64
+	oldestLive  uint32
+
+	joinSent map[uint32]int64
+	reported map[uint32]int64
+	minRed   map[uint32]vtime.VTime
+}
+
+func newRefWaveLedger() *refWaveLedger {
+	return &refWaveLedger{
+		recvByStamp: make(map[uint32]int64),
+		joinSent:    make(map[uint32]int64),
+		reported:    make(map[uint32]int64),
+		minRed:      make(map[uint32]vtime.VTime),
+	}
+}
+
+func (l *refWaveLedger) OnSend(pkt *proto.Packet) {
+	pkt.ColorEpoch = l.epoch
+	l.sentTotal++
+	//nicwarp:ordered commutative fold: per-wave min over an order-free set
+	for c, m := range l.minRed {
+		if pkt.SendTS < m {
+			l.minRed[c] = pkt.SendTS
+		}
+	}
+}
+
+func (l *refWaveLedger) account(stamp uint32, n int64) {
+	if stamp < l.oldestLive {
+		l.recvOld += n
+	} else {
+		l.recvByStamp[stamp] += n
+	}
+}
+
+func (l *refWaveLedger) Join(c uint32) {
+	if l.Joined(c) {
+		return
+	}
+	if c < l.epoch {
+		panic("ref: out-of-order join")
+	}
+	l.epoch = c
+	l.joinSent[c] = l.sentTotal
+	l.reported[c] = 0
+	l.minRed[c] = vtime.Infinity
+}
+
+func (l *refWaveLedger) Joined(c uint32) bool {
+	_, ok := l.joinSent[c]
+	return ok
+}
+
+func (l *refWaveLedger) whiteRecv(c uint32) int64 {
+	n := l.recvOld
+	//nicwarp:ordered commutative fold: sums counters below the horizon
+	for s, cnt := range l.recvByStamp {
+		if s < c {
+			n += cnt
+		}
+	}
+	return n
+}
+
+func (l *refWaveLedger) Visit(c uint32, firstVisit bool, lvt vtime.VTime) (int64, vtime.VTime) {
+	var delta int64
+	if firstVisit {
+		delta += l.joinSent[c]
+	}
+	cur := l.whiteRecv(c)
+	delta -= cur - l.reported[c]
+	l.reported[c] = cur
+	return delta, vtime.MinV(lvt, l.minRed[c])
+}
+
+func (l *refWaveLedger) Retire(c uint32) {
+	delete(l.joinSent, c)
+	delete(l.reported, c)
+	delete(l.minRed, c)
+	oldest := l.epoch + 1
+	//nicwarp:ordered commutative fold: min over live wave numbers
+	for w := range l.joinSent {
+		if w < oldest {
+			oldest = w
+		}
+	}
+	if oldest > l.oldestLive {
+		l.oldestLive = oldest
+		//nicwarp:ordered commutative fold: sums counters and deletes folded keys
+		for s, cnt := range l.recvByStamp {
+			if s < l.oldestLive {
+				l.recvOld += cnt
+				delete(l.recvByStamp, s)
+			}
+		}
+	}
+}
+
+// ledgerOp is one random step of the differential test. Field meanings
+// depend on Op (see TestWaveLedgerMatchesReference).
+type ledgerOp struct {
+	Op  uint8
+	Arg uint8
+	TS  int16
+}
+
+// TestWaveLedgerMatchesReference drives the dense-window ledger and the
+// map-keyed reference with the same random operations — sends, receives
+// stamped below, at and above the local epoch, NIC drops with ancient
+// stamps, joins with gaps, visits and out-of-order retirement with up to
+// DefaultMaxWaves live waves — and requires identical Visit results,
+// Joined and ActiveWaves after every step.
+func TestWaveLedgerMatchesReference(t *testing.T) {
+	maxLive := 0
+	f := func(ops []ledgerOp) bool {
+		got, want := NewWaveLedger(), newRefWaveLedger()
+		var live []uint32 // joined, unretired waves, ascending
+		check := func(step int) bool {
+			if got.ActiveWaves() != len(want.joinSent) {
+				t.Logf("step %d: ActiveWaves %d, reference %d", step, got.ActiveWaves(), len(want.joinSent))
+				return false
+			}
+			if got.Epoch() != want.epoch {
+				t.Logf("step %d: Epoch %d, reference %d", step, got.Epoch(), want.epoch)
+				return false
+			}
+			for c := uint32(0); c <= want.epoch+2; c++ {
+				if got.Joined(c) != want.Joined(c) {
+					t.Logf("step %d: Joined(%d) = %v, reference %v", step, c, got.Joined(c), want.Joined(c))
+					return false
+				}
+			}
+			return true
+		}
+		for step, op := range ops {
+			switch op.Op % 16 {
+			case 0, 1, 2, 3, 4: // send
+				p, q := evPkt(vtime.VTime(op.TS)), evPkt(vtime.VTime(op.TS))
+				got.OnSend(p)
+				want.OnSend(q)
+				if p.ColorEpoch != q.ColorEpoch {
+					t.Logf("step %d: stamp %d, reference %d", step, p.ColorEpoch, q.ColorEpoch)
+					return false
+				}
+			case 5, 6: // receive stamped around the local epoch (below, at, above)
+				stamp := int64(want.epoch) + int64(op.Arg%8) - 4
+				if stamp < 0 {
+					stamp = 0
+				}
+				p := evPkt(0)
+				p.ColorEpoch = uint32(stamp)
+				got.OnRecv(p)
+				want.account(p.ColorEpoch, 1)
+			case 7: // NIC drop report, often with an ancient stamp
+				stamp := uint32(op.Arg) % (want.epoch + 1)
+				n := int64(op.Arg%3) + 1
+				got.OnDropped(stamp, n)
+				want.account(stamp, n)
+			case 8, 9, 10: // join the next wave, possibly skipping a few
+				if len(live) >= DefaultMaxWaves {
+					continue
+				}
+				c := want.epoch + 1 + uint32(op.Arg%3)
+				got.Join(c)
+				want.Join(c)
+				live = append(live, c)
+				maxLive = max(maxLive, len(live))
+				// The join's own first visit, as the Mattern manager does.
+				dg, fg := got.Visit(c, true, vtime.VTime(op.TS))
+				dw, fw := want.Visit(c, true, vtime.VTime(op.TS))
+				if dg != dw || fg != fw {
+					t.Logf("step %d: first Visit(%d) = (%d, %v), reference (%d, %v)", step, c, dg, fg, dw, fw)
+					return false
+				}
+			case 11, 12: // revisit a live wave
+				if len(live) == 0 {
+					continue
+				}
+				c := live[int(op.Arg)%len(live)]
+				got.Join(c) // no-op on a joined wave
+				want.Join(c)
+				dg, fg := got.Visit(c, false, vtime.VTime(op.TS))
+				dw, fw := want.Visit(c, false, vtime.VTime(op.TS))
+				if dg != dw || fg != fw {
+					t.Logf("step %d: Visit(%d) = (%d, %v), reference (%d, %v)", step, c, dg, fg, dw, fw)
+					return false
+				}
+			case 13: // retire a live wave, in any order
+				if len(live) == 0 {
+					continue
+				}
+				i := int(op.Arg) % len(live)
+				c := live[i]
+				live = append(live[:i], live[i+1:]...)
+				got.Retire(c)
+				want.Retire(c)
+			case 14, 15: // retire a wave that is not live (a no-op bar the horizon)
+				c := uint32(op.Arg) % (want.epoch + 3)
+				if want.Joined(c) {
+					continue
+				}
+				got.Retire(c)
+				want.Retire(c)
+			}
+			if !check(step) {
+				return false
+			}
+		}
+		return true
+	}
+	// Long operation lists, so the live-wave count reaches the cap.
+	long := func(args []reflect.Value, r *rand.Rand) {
+		ops := make([]ledgerOp, r.Intn(1200))
+		for i := range ops {
+			ops[i] = ledgerOp{Op: uint8(r.Intn(256)), Arg: uint8(r.Intn(256)), TS: int16(r.Intn(1 << 16))}
+		}
+		args[0] = reflect.ValueOf(ops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: long}); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if maxLive < DefaultMaxWaves {
+		t.Fatalf("at most %d waves were live at once, want runs reaching %d", maxLive, DefaultMaxWaves)
+	}
+}
+
+func TestWaveLedgerRejoinAfterRetirePanics(t *testing.T) {
+	l := NewWaveLedger()
+	l.Join(1)
+	l.Retire(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for re-joining a retired wave")
+		}
+	}()
+	l.Join(1)
+}
+
+// TestWaveLedgerZeroAlloc pins the steady-state contract: once the windows
+// have grown, sends, receives, visits and retirements allocate nothing.
+func TestWaveLedgerZeroAlloc(t *testing.T) {
+	l := NewWaveLedger()
+	p := evPkt(5)
+	c := uint32(0)
+	step := func() {
+		c++
+		l.Join(c)
+		l.Visit(c, true, 10)
+		for i := 0; i < 4; i++ {
+			l.OnSend(p)
+			l.OnRecv(p)
+		}
+		if c > 8 {
+			l.Visit(c-4, false, 10)
+			l.Retire(c - 8)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if a := testing.AllocsPerRun(200, step); a != 0 {
+		t.Fatalf("steady-state ledger step allocates %.1f times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		l.OnSend(p)
+		l.OnRecv(p)
+		l.Visit(c, false, 10)
+	}); a != 0 {
+		t.Fatalf("OnSend/OnRecv/Visit allocate %.1f times, want 0", a)
 	}
 }

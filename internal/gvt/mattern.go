@@ -37,6 +37,8 @@ type MatternManager struct {
 	inFlight int
 	compSeq  uint32
 	lastGVT  vtime.VTime
+	spare    *proto.Packet   //nicwarp:owns a returned announcement, reused by the next initiation
+	held     []*proto.Packet //nicwarp:owns tokens that overtook an older wave's first visit
 
 	Stats Stats
 }
@@ -60,8 +62,13 @@ func NewMattern(period int) *MatternManager {
 // Name implements Manager.
 func (m *MatternManager) Name() string { return "mattern" }
 
-// Start implements Manager.
-func (m *MatternManager) Start(h Host) {}
+// Start implements Manager: ask the NIC to count the packets it cancels in
+// place by colour stamp, for drainNICDrops.
+func (m *MatternManager) Start(h Host) {
+	if w := h.Shared(); w != nil {
+		w.CountDroppedWhite = true
+	}
+}
 
 // isRoot reports whether this LP initiates computations (LP0, as in the
 // paper: "a designated root LP starts off the process").
@@ -100,14 +107,19 @@ func (m *MatternManager) initiate(h Host) {
 		// Degenerate ring: the cut closes immediately when nothing is in
 		// transit; otherwise re-run on the next initiation.
 		if delta == 0 {
-			m.finish(h, floor, c)
+			m.finish(h, floor, c, nil)
 		} else {
 			m.inFlight--
 			m.ledger.Retire(c)
 		}
 		return
 	}
-	tok := &proto.Packet{
+	tok := m.spare
+	m.spare = nil
+	if tok == nil {
+		tok = &proto.Packet{}
+	}
+	*tok = proto.Packet{
 		Kind:        proto.KindGVTControl,
 		SrcNode:     int32(h.LP()),
 		DstNode:     int32(next(h.LP(), h.NumLPs())),
@@ -133,6 +145,15 @@ func (m *MatternManager) OnReceived(h Host, pkt *proto.Packet) {
 }
 
 // OnControl implements Manager: handle a token or value-announcement visit.
+// The manager takes ownership of pkt: a token or announcement is rewritten
+// in place and sent on to the next LP, so a hop allocates no packet. The
+// cluster hands control packets over only once nothing else references
+// them — the NIC receive slot, the host inbox ring and the fault plane
+// have all let go (duplicates are separate clones), and the invariant
+// checker never retains control packets — and the caller must not read
+// pkt after the call.
+//
+//nicwarp:owns inbound control packets are reused for the next hop
 func (m *MatternManager) OnControl(h Host, pkt *proto.Packet) {
 	switch {
 	case pkt.Kind == proto.KindGVTControl && pkt.TokenRound >= 0:
@@ -146,7 +167,32 @@ func (m *MatternManager) OnControl(h Host, pkt *proto.Packet) {
 
 // onToken folds this LP's contribution into the token and forwards it, or —
 // at the root — decides whether the wave has closed its cut.
+//
+//nicwarp:owns the token is forwarded, held or becomes the announcement
 func (m *MatternManager) onToken(h Host, pkt *proto.Packet) {
+	if c := uint32(pkt.TokenEpoch); !m.ledger.Joined(c) && c > m.ledger.Epoch()+1 {
+		// A younger wave's first visit overtook an older wave's on a
+		// fabric that reorders (the fault plane's retransmissions and
+		// delays). Waves first visit every LP in initiation order over
+		// a FIFO ring, so hold the token until the older wave arrives.
+		m.held = append(m.held, pkt) //nicwarp:alloc reorder hold-back, reached only on a reordering fabric
+		return
+	}
+	m.visit(h, pkt)
+	for i := 0; i < len(m.held); i++ {
+		if tok := m.held[i]; uint32(tok.TokenEpoch) == m.ledger.Epoch()+1 {
+			m.held = append(m.held[:i], m.held[i+1:]...)
+			m.visit(h, tok)
+			i = -1 // rescan: the visit advanced the epoch
+		}
+	}
+}
+
+// visit is onToken for a token whose wave this LP has joined or is
+// joining next.
+//
+//nicwarp:owns the token is forwarded or becomes the announcement
+func (m *MatternManager) visit(h Host, pkt *proto.Packet) {
 	m.Stats.TokenVisits.Inc()
 	m.drainNICDrops(h)
 
@@ -160,7 +206,7 @@ func (m *MatternManager) onToken(h Host, pkt *proto.Packet) {
 	if int32(h.LP()) == pkt.TokenOrigin {
 		m.Stats.Rounds.Inc()
 		if count == 0 {
-			m.finish(h, min, c)
+			m.finish(h, min, c, pkt)
 			return
 		}
 		// Whites still in transit: another round.
@@ -170,20 +216,29 @@ func (m *MatternManager) onToken(h Host, pkt *proto.Packet) {
 	m.forward(h, pkt, pkt.TokenRound, count, min)
 }
 
-// forward sends the token to the next LP on the ring.
+// forward sends the token to the next LP on the ring, rewriting the
+// inbound packet in place: the manager owns a control packet from
+// OnControl on, and no layer below it still references the packet (see
+// OnControl).
+//
+//nicwarp:owns the token is handed on to Host.SendControl
 func (m *MatternManager) forward(h Host, pkt *proto.Packet, round int32, count int64, min vtime.VTime) {
-	fwd := pkt.Clone()
-	fwd.SrcNode = int32(h.LP())
-	fwd.DstNode = int32(next(h.LP(), h.NumLPs()))
-	fwd.TokenRound = round
-	fwd.TokenCount = count
-	fwd.TokenMin = min
+	pkt.WireDup = false // a new transmission, whatever copy arrived
+	pkt.SrcNode = int32(h.LP())
+	pkt.DstNode = int32(next(h.LP(), h.NumLPs()))
+	pkt.TokenRound = round
+	pkt.TokenCount = count
+	pkt.TokenMin = min
 	m.Stats.ControlMsgs.Inc()
-	h.SendControl(fwd)
+	h.SendControl(pkt)
 }
 
-// finish completes wave c at the root: commit, retire, announce.
-func (m *MatternManager) finish(h Host, g vtime.VTime, c uint32) {
+// finish completes wave c at the root: commit, retire, announce. The
+// announcement reuses tok, the wave's returning token (nil on the
+// degenerate one-LP ring, which announces nothing).
+//
+//nicwarp:owns the returning token becomes the announcement
+func (m *MatternManager) finish(h Host, g vtime.VTime, c uint32, tok *proto.Packet) {
 	m.commit(h, g)
 	m.inFlight--
 	m.ledger.Retire(c)
@@ -191,7 +246,7 @@ func (m *MatternManager) finish(h Host, g vtime.VTime, c uint32) {
 	if h.NumLPs() == 1 {
 		return
 	}
-	ann := &proto.Packet{
+	*tok = proto.Packet{
 		Kind:        proto.KindGVTControl,
 		SrcNode:     int32(h.LP()),
 		DstNode:     int32(next(h.LP(), h.NumLPs())),
@@ -201,22 +256,27 @@ func (m *MatternManager) finish(h Host, g vtime.VTime, c uint32) {
 		TokenEpoch:  uint64(c),
 	}
 	m.Stats.ControlMsgs.Inc()
-	h.SendControl(ann)
+	h.SendControl(tok)
 }
 
 // onAnnounce commits the announced value, retires the wave, and forwards
-// the announcement until it returns to the root.
+// the announcement in place until it returns to the root.
+//
+//nicwarp:owns the announcement is handed on to Host.SendControl
 func (m *MatternManager) onAnnounce(h Host, pkt *proto.Packet) {
 	if int32(h.LP()) == pkt.TokenOrigin {
-		return // announcement completed the ring
+		// The announcement completed the ring; keep the packet for the
+		// next initiation.
+		m.spare = pkt
+		return
 	}
 	m.commit(h, pkt.TokenGVT)
 	m.ledger.Retire(uint32(pkt.TokenEpoch))
-	fwd := pkt.Clone()
-	fwd.SrcNode = int32(h.LP())
-	fwd.DstNode = int32(next(h.LP(), h.NumLPs()))
+	pkt.WireDup = false // a new transmission, whatever copy arrived
+	pkt.SrcNode = int32(h.LP())
+	pkt.DstNode = int32(next(h.LP(), h.NumLPs()))
 	m.Stats.ControlMsgs.Inc()
-	h.SendControl(fwd)
+	h.SendControl(pkt)
 }
 
 // commit installs a new GVT value locally. Concurrent waves can complete
@@ -244,15 +304,17 @@ func (m *MatternManager) OnNotify(h Host, tag nic.NotifyTag) {}
 
 // drainNICDrops folds NIC-reported dropped-packet counts into the ledger.
 // Present for the early-cancellation firmware, which must tell the GVT
-// subsystem about packets it discarded in place.
+// subsystem about packets it discarded in place (Start asks the NIC to
+// count them). The window drains in ascending stamp order.
 func (m *MatternManager) drainNICDrops(h Host) {
 	w := h.Shared()
-	if w == nil || len(w.DroppedWhite) == 0 {
+	if w == nil {
 		return
 	}
-	//nicwarp:ordered commutative drain: OnDropped folds per-stamp counters
-	for stamp, n := range w.DroppedWhite {
-		m.ledger.OnDropped(stamp, n)
-		delete(w.DroppedWhite, stamp)
+	base, counts := w.DroppedWhite.Take()
+	for i, n := range counts {
+		if n != 0 {
+			m.ledger.OnDropped(base+uint32(i), n)
+		}
 	}
 }

@@ -242,3 +242,122 @@ func TestNewMatternValidation(t *testing.T) {
 	}()
 	NewMattern(0)
 }
+
+// hopHost is an allocation-free Host for one LP: it records the last
+// control packet sent instead of queueing it.
+type hopHost struct {
+	lp, n int
+	sent  *proto.Packet
+}
+
+func (h *hopHost) LP() int                       { return h.lp }
+func (h *hopHost) NumLPs() int                   { return h.n }
+func (h *hopHost) LVT() vtime.VTime              { return 100 }
+func (h *hopHost) OutboundMin() vtime.VTime      { return vtime.Infinity }
+func (h *hopHost) CommitGVT(g vtime.VTime)       {}
+func (h *hopHost) SendControl(pkt *proto.Packet) { h.sent = pkt }
+func (h *hopHost) Shared() *nic.SharedWindow     { return nil }
+func (h *hopHost) RingDoorbell()                 {}
+func (h *hopHost) Now() vtime.ModelTime          { return 0 }
+func (h *hopHost) Schedule(d vtime.ModelTime, fn func(interface{}), arg interface{}) des.TimerRef {
+	return des.TimerRef{}
+}
+
+// token builds a round-0 token of wave c arriving from the root at LP 1.
+func token(c uint32) *proto.Packet {
+	return &proto.Packet{Kind: proto.KindGVTControl, SrcNode: 0, DstNode: 1,
+		TokenMin: vtime.Infinity, TokenOrigin: 0, TokenEpoch: uint64(c)}
+}
+
+func TestMatternForwardsTokenInPlace(t *testing.T) {
+	m, h := NewMattern(1), &hopHost{lp: 1, n: 3}
+	tok := token(1)
+	tok.WireDup = true // the fabric's duplicate arrived first
+	m.OnControl(h, tok)
+	if h.sent != tok {
+		t.Fatal("token was not forwarded in place")
+	}
+	if tok.SrcNode != 1 || tok.DstNode != 2 || tok.TokenMin != 100 || tok.WireDup {
+		t.Fatalf("forwarded token = %+v; want 1->2, min 100, not a wire duplicate", tok)
+	}
+	ann := &proto.Packet{Kind: proto.KindGVTControl, SrcNode: 0, DstNode: 1,
+		TokenRound: -1, TokenGVT: 50, TokenOrigin: 0, TokenEpoch: 1}
+	m.OnControl(h, ann)
+	if h.sent != ann || ann.DstNode != 2 || m.LastGVT() != 50 || m.ActiveWaves() != 0 {
+		t.Fatalf("announcement not committed and forwarded in place: %+v", ann)
+	}
+}
+
+func TestMatternRootReusesReturningToken(t *testing.T) {
+	r := newRing(t, 3, 10)
+	r.hosts[2].lvt = 37 // a finite GVT keeps the idle root initiating
+	r.managers[0].OnIdle(r.hosts[0])
+	first := r.queue[0]
+	r.drain()
+	// The token came home with a closed cut and went out again as the
+	// announcement; once that returned too, the next wave reuses it.
+	r.managers[0].OnIdle(r.hosts[0])
+	if len(r.queue) != 1 || r.queue[0] != first {
+		t.Fatal("next initiation did not reuse the returned announcement")
+	}
+	r.drain()
+}
+
+// TestMatternHoldsOvertakingToken: on a fabric that reorders, a younger
+// wave's first visit can overtake an older one's. The LP must process them
+// in initiation order, as a FIFO ring would have delivered them.
+func TestMatternHoldsOvertakingToken(t *testing.T) {
+	m, h := NewMattern(1), &hopHost{lp: 1, n: 3}
+	t2, t3, t1 := token(2), token(3), token(1)
+	m.OnControl(h, t3)
+	m.OnControl(h, t2)
+	if h.sent != nil || m.ActiveWaves() != 0 {
+		t.Fatal("overtaking tokens were processed before the older wave arrived")
+	}
+	var order []uint64
+	m.OnControl(&orderHost{hopHost: h, order: &order}, t1)
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("forwarded waves %v, want [1 2 3]", order)
+	}
+	if m.ActiveWaves() != 3 {
+		t.Fatalf("active waves = %d, want 3", m.ActiveWaves())
+	}
+}
+
+// orderHost records the wave of every control packet sent.
+type orderHost struct {
+	*hopHost
+	order *[]uint64
+}
+
+func (h *orderHost) SendControl(pkt *proto.Packet) { *h.order = append(*h.order, pkt.TokenEpoch) }
+
+// TestMatternForwardZeroAlloc pins the non-root hop: joining a wave,
+// folding the visit and forwarding the token, then committing, retiring
+// and forwarding the announcement, allocates nothing once the ledger's
+// windows have grown.
+func TestMatternForwardZeroAlloc(t *testing.T) {
+	m, h := NewMattern(1), &hopHost{lp: 1, n: 3}
+	ev := &proto.Packet{Kind: proto.KindEvent, SendTS: 7}
+	pkt := &proto.Packet{}
+	c := uint32(0)
+	hop := func() {
+		c++
+		*pkt = proto.Packet{Kind: proto.KindGVTControl, SrcNode: 0, DstNode: 1,
+			TokenMin: vtime.Infinity, TokenOrigin: 0, TokenEpoch: uint64(c)}
+		m.OnControl(h, pkt)
+		m.OnSent(h, ev)
+		m.OnReceived(h, ev)
+		if c > 4 {
+			*pkt = proto.Packet{Kind: proto.KindGVTControl, SrcNode: 0, DstNode: 1,
+				TokenRound: -1, TokenGVT: vtime.VTime(c), TokenOrigin: 0, TokenEpoch: uint64(c - 4)}
+			m.OnControl(h, pkt)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		hop()
+	}
+	if a := testing.AllocsPerRun(200, hop); a != 0 {
+		t.Fatalf("non-root token hop allocates %.1f times, want 0", a)
+	}
+}

@@ -182,6 +182,14 @@ func (c *CPU) DoArg(cat Category, cost vtime.ModelTime, fn func(interface{}), ar
 	c.res.SubmitArg(cost, fn, arg)
 }
 
+// DoArg2 is DoArg with two threaded arguments: at completion fn(a, b)
+// runs. It pairs a node with the packet a job works on, so the job needs
+// neither a closure nor a side queue.
+func (c *CPU) DoArg2(cat Category, cost vtime.ModelTime, fn func(interface{}, interface{}), a, b interface{}) {
+	c.charge(cat, cost)
+	c.res.SubmitArg2(cost, fn, a, b)
+}
+
 func (c *CPU) charge(cat Category, cost vtime.ModelTime) {
 	switch cat {
 	case CatEvent:

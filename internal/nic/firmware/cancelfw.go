@@ -193,7 +193,9 @@ func (f *CancelFirmware) recordDrop(api nic.API, p *proto.Packet) {
 // credit.
 func (f *CancelFirmware) accountDrop(api nic.API, p *proto.Packet) {
 	w := api.Shared()
-	w.DroppedWhite[p.ColorEpoch]++
+	if w.CountDroppedWhite {
+		w.DroppedWhite.Add(p.ColorEpoch, 1)
+	}
 	w.CreditRefund[p.DstNode]++
 	w.DropsByDst[p.DstNode]++
 	f.CreditRefunds.Inc()

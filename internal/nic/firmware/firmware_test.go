@@ -351,6 +351,7 @@ func TestCancelFirmwareCreditRefund(t *testing.T) {
 
 func TestCancelFirmwareDropAccountsWhiteBalance(t *testing.T) {
 	r := newRig(t, 2, func(int) nic.Firmware { return NewCancel() })
+	r.nics[0].Shared().CountDroppedWhite = true
 	p := ev(0, 1, 5, 9, 120, 125, 30)
 	p.ColorEpoch = 4
 	r.nics[0].HostEnqueue(p)
@@ -363,7 +364,7 @@ func TestCancelFirmwareDropAccountsWhiteBalance(t *testing.T) {
 	if r.nics[0].Stats.DroppedInPlace.Value() == 0 {
 		t.Skip("timing did not produce a drop")
 	}
-	if got := r.nics[0].Shared().DroppedWhite[4]; got != 1 {
-		t.Fatalf("DroppedWhite[4] = %d, want 1", got)
+	if base, counts := r.nics[0].Shared().DroppedWhite.Take(); base != 4 || len(counts) != 1 || counts[0] != 1 {
+		t.Fatalf("DroppedWhite.Take() = %d, %v; want 4, [1]", base, counts)
 	}
 }

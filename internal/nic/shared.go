@@ -63,9 +63,13 @@ type SharedWindow struct {
 	// the latest value here.
 	HostAntiEpoch uint64
 	// DroppedWhite counts packets the NIC cancelled in place, by colour
-	// stamp. The host GVT manager drains it into its ledger: a dropped
-	// message must count as received or the white balance never closes.
-	DroppedWhite map[uint32]int64
+	// stamp, while CountDroppedWhite is set. The host Mattern manager,
+	// which counts sends on the host, sets the flag and drains the window
+	// into its ledger: a dropped message must count as received or the
+	// white balance never closes. The NIC-resident GVT implementations
+	// never read it and leave the flag clear, so nothing accumulates.
+	DroppedWhite      StampCounts
+	CountDroppedWhite bool
 	// CreditSalvage counts flow-control credits that were piggybacked on a
 	// dropped packet as returned credit for its destination; the host
 	// re-books them as owed so they are returned again by later traffic or
@@ -98,11 +102,49 @@ func NewSharedWindow() *SharedWindow {
 		LatestGVT:     -1,
 		HostTMin:      vtime.Infinity,
 		Dropped:       NewDropBuffer(DefaultDropBufferCap),
-		DroppedWhite:  make(map[uint32]int64),
 		CreditRefund:  make(map[int32]int64),
 		CreditSalvage: make(map[int32]int64),
 		DropsByDst:    make(map[int32]int64),
 	}
+}
+
+// StampCounts is a dense count window keyed by colour stamp: one counter
+// per stamp from the lowest stamp added since the last Take. Stamps are
+// GVT epochs, so a window between drains spans the few waves in flight.
+type StampCounts struct {
+	base   uint32
+	counts []int64
+}
+
+// Add counts n at stamp.
+func (s *StampCounts) Add(stamp uint32, n int64) {
+	if len(s.counts) == 0 {
+		s.base = stamp
+	}
+	if stamp < s.base {
+		// An older stamp than any pending: shift the window down.
+		d := int(s.base - stamp)
+		for i := 0; i < d; i++ {
+			s.counts = append(s.counts, 0) //nicwarp:alloc window growth, amortized across the run
+		}
+		copy(s.counts[d:], s.counts)
+		clear(s.counts[:d])
+		s.base = stamp
+	}
+	i := int(stamp - s.base)
+	for len(s.counts) <= i {
+		s.counts = append(s.counts, 0) //nicwarp:alloc window growth, amortized across the run
+	}
+	s.counts[i] += n
+}
+
+// Take empties the window and returns what it held: counts[i] is the
+// count at stamp base+i, in ascending stamp order (zero for stamps with
+// nothing pending). The slice is valid until the next Add.
+func (s *StampCounts) Take() (base uint32, counts []int64) {
+	base, counts = s.base, s.counts
+	s.counts = s.counts[:0]
+	return base, counts
 }
 
 // DefaultDropBufferCap sizes the per-object dropped-ID buffer. The paper

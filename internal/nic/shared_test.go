@@ -113,3 +113,29 @@ func TestDropBufferConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestStampCountsTakeInStampOrder(t *testing.T) {
+	var s StampCounts
+	s.Add(7, 1)
+	s.Add(9, 2)
+	s.Add(5, 3) // below the window: shifts it down
+	s.Add(7, 1)
+	base, counts := s.Take()
+	want := []int64{3, 0, 2, 0, 2}
+	if base != 5 || len(counts) != len(want) {
+		t.Fatalf("Take() = %d, %v; want 5, %v", base, counts, want)
+	}
+	for i := range want {
+		if counts[i] != want[i] {
+			t.Fatalf("Take() = %d, %v; want 5, %v", base, counts, want)
+		}
+	}
+	if _, rest := s.Take(); len(rest) != 0 {
+		t.Fatalf("second Take() = %v, want empty", rest)
+	}
+	// A drained window restarts at the next stamp added.
+	s.Add(40, 1)
+	if base, counts := s.Take(); base != 40 || len(counts) != 1 || counts[0] != 1 {
+		t.Fatalf("Take() after reuse = %d, %v; want 40, [1]", base, counts)
+	}
+}
